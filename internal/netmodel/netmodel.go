@@ -82,6 +82,7 @@ type Flow struct {
 	lastUpdate float64
 
 	done       func(error)
+	complete   func() // the completion callback, bound once per flow
 	completion sim.Event
 	stall      sim.Event
 	finished   bool
@@ -274,6 +275,7 @@ func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(erro
 		n.sim.After(0, "net.done0", func() { done(nil) })
 		return f
 	}
+	f.complete = func() { n.finish(f, nil) }
 	n.listEpoch++
 	if f.local() {
 		n.nodes[src.ID].local = append(n.nodes[src.ID].local, f)
@@ -580,12 +582,12 @@ func (n *Network) settleNodeRated(nodeID int, rates []float64, epoch uint64) {
 	n.settleDepth++
 	for j, f := range buf {
 		if n.listEpoch == epoch {
-			n.refreshRated(f, rates[j])
+			n.refresh(f, rates[j])
 		} else {
 			// A cascade invalidated the precomputed rates; the snapshot
 			// still matches the phase-time lists, so positions stay
 			// aligned, but the values must be recomputed live.
-			n.refresh(f)
+			n.refresh(f, n.currentRate(f))
 		}
 	}
 	n.settleDepth--
@@ -600,40 +602,18 @@ func (n *Network) settleNode(nodeID int) {
 	buf = append(buf, st.local...)
 	n.settleDepth++
 	for _, f := range buf {
-		n.refresh(f)
+		n.refresh(f, n.currentRate(f))
 	}
 	n.settleDepth--
 	n.putScratch(buf)
 }
 
-// refresh recomputes one flow's rate and completion time.
-func (n *Network) refresh(f *Flow) {
-	if f.finished {
-		return
-	}
-	n.settle(f)
-	f.rate = n.currentRate(f)
-	n.sim.Cancel(f.completion)
-	f.completion = sim.Event{}
-	n.unindexCompletion(f)
-	if f.remaining <= 1e-6 {
-		n.finish(f, nil)
-		return
-	}
-	if f.rate > 0 {
-		d := f.remaining / f.rate
-		f.completion = n.sim.After(d, "net.complete", func() {
-			n.finish(f, nil)
-		})
-		n.indexCompletion(f, n.sim.Now()+d)
-	}
-}
-
-// refreshRated is refresh with the rate supplied by the parallel phase
-// instead of recomputed; the caller guarantees rate == currentRate(f) (the
-// listEpoch guard). Everything else — the settle, the cancel/reschedule and
-// its (at, seq) consumption, the completion indexing — is the serial path.
-func (n *Network) refreshRated(f *Flow, rate float64) {
+// refresh settles one flow and reschedules its completion at rate. rate is
+// currentRate(f), computed by the caller or precomputed by the parallel
+// phase (the listEpoch guard keeps the two equal); everything else — the
+// settle, the cancel/reschedule and its (at, seq) consumption, the
+// completion indexing — is one path.
+func (n *Network) refresh(f *Flow, rate float64) {
 	if f.finished {
 		return
 	}
@@ -648,9 +628,7 @@ func (n *Network) refreshRated(f *Flow, rate float64) {
 	}
 	if f.rate > 0 {
 		d := f.remaining / f.rate
-		f.completion = n.sim.After(d, "net.complete", func() {
-			n.finish(f, nil)
-		})
+		f.completion = n.sim.After(d, "net.complete", f.complete)
 		n.indexCompletion(f, n.sim.Now()+d)
 	}
 }

@@ -5,16 +5,14 @@ import (
 	"testing"
 )
 
-// backlogSizes are the pending-event populations the throughput benchmarks
-// sweep: the calendar queue's schedule+fire cost must stay flat as the
-// backlog grows, where a binary heap pays an extra log(pending) sift on
-// every operation.
+// backlogSizes are the pending-event populations the throughput benchmark
+// sweeps: each schedule+fire pays a sift through a heap of that size.
 var backlogSizes = []int{0, 1000, 10000, 100000}
 
 // BenchmarkEventThroughput measures raw schedule+fire cost — the
 // simulator's fundamental currency — against a standing backlog of
-// far-future events. With the free list and the calendar's O(1) hold-slot
-// pop this runs allocation-free at steady state, at every backlog size.
+// far-future events. With the free list this runs allocation-free at
+// steady state, at every backlog size.
 func BenchmarkEventThroughput(b *testing.B) {
 	for _, pending := range backlogSizes {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
@@ -28,35 +26,6 @@ func BenchmarkEventThroughput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Schedule(float64(i)*1e-3, "e", fn)
 				s.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkEventThroughputHeap is the baseline the calendar replaced: the
-// same schedule+fire pattern driven through a reference binary heap
-// (refHeap, shared with the differential test). The node is reused so the
-// comparison isolates queue discipline, not allocation.
-func BenchmarkEventThroughputHeap(b *testing.B) {
-	for _, pending := range backlogSizes {
-		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
-			h := &refHeap{}
-			fn := func() {}
-			var seq uint64
-			for i := 0; i < pending; i++ {
-				h.push(&node{at: 1e6 + float64(i)*0.25, seq: seq, fn: fn})
-				seq++
-			}
-			n := &node{fn: fn}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.at = float64(i) * 1e-3
-				n.seq = seq
-				seq++
-				h.push(n)
-				m := h.pop()
-				m.fn()
 			}
 		})
 	}
@@ -78,8 +47,8 @@ func BenchmarkTickerChain(b *testing.B) {
 }
 
 // BenchmarkScheduleCancel measures the schedule+cancel cycle in isolation:
-// lazy invalidation plus the free list make it allocation-free and
-// amortized O(1) per cycle (compaction bounds the heap).
+// Cancel removes the event and the free list recycles its storage, so the
+// cycle is allocation-free.
 func BenchmarkScheduleCancel(b *testing.B) {
 	s := New()
 	fn := func() {}

@@ -42,8 +42,9 @@ func TestFreeListReuse(t *testing.T) {
 	}
 }
 
-// TestLazyCancelDrainCounts checks the Canceled counter and that canceled
-// events drained by Step and RunUntil are reclaimed identically.
+// TestLazyCancelDrainCounts checks the Canceled counter, that Cancel
+// reclaims storage at once, and that Step and RunUntil then fire only the
+// survivors.
 func TestLazyCancelDrainCounts(t *testing.T) {
 	s := New()
 	var evs []Event
@@ -59,7 +60,10 @@ func TestLazyCancelDrainCounts(t *testing.T) {
 	if s.Pending() != 6 {
 		t.Fatalf("Pending() = %d, want 6", s.Pending())
 	}
-	s.RunUntil(5) // fires events 5; drains canceled 1..4 lazily
+	if len(s.free) != 4 {
+		t.Fatalf("free list holds %d nodes, want the 4 canceled", len(s.free))
+	}
+	s.RunUntil(5) // fires event 5; events 1-4 are gone
 	if s.Fired() != 1 {
 		t.Fatalf("Fired() = %d, want 1 (events 1-4 canceled, event 5 fired)", s.Fired())
 	}
@@ -67,13 +71,13 @@ func TestLazyCancelDrainCounts(t *testing.T) {
 	if s.Fired() != 6 {
 		t.Fatalf("Fired() = %d, want 6", s.Fired())
 	}
-	if s.Pending() != 0 || s.cal.len() != 0 {
-		t.Fatalf("queue not drained: Pending=%d len=%d", s.Pending(), s.cal.len())
+	if s.Pending() != 0 {
+		t.Fatalf("queue not drained: Pending=%d", s.Pending())
 	}
 }
 
 // TestCancelCompaction verifies mass cancellation does not leave the heap
-// full of corpses.
+// full of corpses: Cancel removes each event at once.
 func TestCancelCompaction(t *testing.T) {
 	s := New()
 	var evs []Event
@@ -83,11 +87,14 @@ func TestCancelCompaction(t *testing.T) {
 	for _, e := range evs[:999] {
 		s.Cancel(e)
 	}
-	if s.cal.len() >= 1000 {
-		t.Fatalf("queue did not compact: %d slots for 1 live event", s.cal.len())
+	if len(s.q) != 1 {
+		t.Fatalf("heap holds %d slots for 1 live event", len(s.q))
 	}
 	if s.Pending() != 1 {
 		t.Fatalf("Pending() = %d, want 1", s.Pending())
+	}
+	if len(s.free) != 999 {
+		t.Fatalf("free list holds %d nodes, want the 999 canceled", len(s.free))
 	}
 	fired := 0
 	for s.Step() {
@@ -110,25 +117,5 @@ func TestCancelDuringOwnCallback(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("Pending() = %d, want 0", s.Pending())
-	}
-}
-
-// TestRescheduleCanceledEvent: a canceled-but-undrained event still carries
-// its callback, so Reschedule revives it; a stale handle returns zero.
-func TestRescheduleCanceledEvent(t *testing.T) {
-	s := New()
-	fired := 0
-	e := s.Schedule(1, "x", func() { fired++ })
-	s.Cancel(e)
-	e2 := s.Reschedule(e, 3)
-	if !e2.Pending() {
-		t.Fatal("rescheduled canceled event not pending")
-	}
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1", fired)
-	}
-	if got := s.Reschedule(e2, 5); got.Pending() {
-		t.Fatal("rescheduling a fired (stale) handle produced a pending event")
 	}
 }

@@ -6,69 +6,86 @@ import (
 	"repro/internal/rng"
 )
 
-// refHeap is a plain binary min-heap over the queue's (at, seq) total order.
-// It is the reference implementation the calendar queue replaced: any correct
-// priority queue pops the same strict sequence, so driving both with one
-// operation stream and comparing orders checks the calendar end to end —
-// slot hashing, sorted-run maintenance, year-scan fallback, hold caching and
-// lazy cancellation.
-type refHeap struct {
-	ns []*node
+// refEvent is one event as the reference heap sees it.
+type refEvent struct {
+	at       Time
+	seq      uint64
+	canceled bool
 }
 
-func (h *refHeap) len() int { return len(h.ns) }
+// refHeap is a plain binary min-heap over the queue's (at, seq) total order
+// with lazy cancellation: the textbook design, written independently of the
+// indexed heap it checks. Any correct priority queue pops the same strict
+// sequence, so driving both with one operation stream and comparing orders
+// checks the simulation's queue end to end — sifts, slot bookkeeping and
+// removal from the middle.
+type refHeap struct {
+	es []*refEvent
+}
 
-func (h *refHeap) push(n *node) {
-	h.ns = append(h.ns, n)
-	i := len(h.ns) - 1
+func refLess(a, b *refEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (h *refHeap) len() int { return len(h.es) }
+
+func (h *refHeap) push(e *refEvent) {
+	h.es = append(h.es, e)
+	i := len(h.es) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !less(h.ns[i], h.ns[p]) {
+		if !refLess(h.es[i], h.es[p]) {
 			break
 		}
-		h.ns[i], h.ns[p] = h.ns[p], h.ns[i]
+		h.es[i], h.es[p] = h.es[p], h.es[i]
 		i = p
 	}
 }
 
-func (h *refHeap) pop() *node {
-	n := h.ns[0]
-	last := len(h.ns) - 1
-	h.ns[0] = h.ns[last]
-	h.ns[last] = nil
-	h.ns = h.ns[:last]
+func (h *refHeap) pop() *refEvent {
+	e := h.es[0]
+	last := len(h.es) - 1
+	h.es[0] = h.es[last]
+	h.es[last] = nil
+	h.es = h.es[:last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(h.ns) && less(h.ns[l], h.ns[m]) {
+		if l < len(h.es) && refLess(h.es[l], h.es[m]) {
 			m = l
 		}
-		if r < len(h.ns) && less(h.ns[r], h.ns[m]) {
+		if r < len(h.es) && refLess(h.es[r], h.es[m]) {
 			m = r
 		}
 		if m == i {
-			return n
+			return e
 		}
-		h.ns[i], h.ns[m] = h.ns[m], h.ns[i]
+		h.es[i], h.es[m] = h.es[m], h.es[i]
 		i = m
 	}
 }
 
-// TestCalendarMatchesHeapReference drives the simulation and a shadow binary
-// heap with one randomized schedule/cancel/fire stream and requires the
-// identical fire order. Delays are quantized so many events collide on the
-// same instant (exercising the seq tie-break) with occasional far-future
-// outliers (exercising the sparse direct-search fallback and cursor rewind).
-func TestCalendarMatchesHeapReference(t *testing.T) {
+// FuzzQueueMatchesReference drives the simulation and a shadow binary heap
+// with one randomized schedule/cancel/fire stream derived from the seed and
+// requires the identical fire order. Delays are quantized so many events
+// collide on the same instant (exercising the seq tie-break) with
+// occasional far-future outliers; cancels hit arbitrary heap slots.
+func FuzzQueueMatchesReference(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
 		r := rng.New(seed)
 		s := New()
 		h := &refHeap{}
 
 		type pair struct {
-			ev Event
-			hn *node
+			ev  Event
+			ref *refEvent
 		}
 		var live []pair
 		var fired []uint64
@@ -89,15 +106,15 @@ func TestCalendarMatchesHeapReference(t *testing.T) {
 				id := nextID
 				nextID++
 				ev := s.After(d, "diff", func() { fired = append(fired, id) })
-				hn := &node{at: s.Now() + d, seq: id}
-				h.push(hn)
-				live = append(live, pair{ev, hn})
-			case k < 0.75 && len(live) > 0:
+				ref := &refEvent{at: s.Now() + d, seq: id}
+				h.push(ref)
+				live = append(live, pair{ev, ref})
+			case k < 0.75:
 				i := r.Intn(len(live))
 				p := live[i]
 				if p.ev.Pending() {
 					s.Cancel(p.ev)
-					p.hn.canceled = true
+					p.ref.canceled = true
 				}
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
@@ -110,8 +127,8 @@ func TestCalendarMatchesHeapReference(t *testing.T) {
 
 		var want []uint64
 		for h.len() > 0 {
-			if n := h.pop(); !n.canceled {
-				want = append(want, n.seq)
+			if e := h.pop(); !e.canceled {
+				want = append(want, e.seq)
 			}
 		}
 		if len(fired) != len(want) {
@@ -119,17 +136,17 @@ func TestCalendarMatchesHeapReference(t *testing.T) {
 		}
 		for i := range want {
 			if fired[i] != want[i] {
-				t.Fatalf("seed %d: fire order diverges at %d: calendar popped %d, heap reference %d",
+				t.Fatalf("seed %d: fire order diverges at %d: queue popped %d, heap reference %d",
 					seed, i, fired[i], want[i])
 			}
 		}
-	}
+	})
 }
 
-// TestCompactionAt100kPending verifies corpse management at scale: with 100k
-// events queued and 99% canceled, the bulk compaction must sweep the corpses
-// (bounding storage near the live count) and every survivor must still fire,
-// in order.
+// TestCompactionAt100kPending checks that mass cancellation leaves no corpses
+// at scale: right after 99% of 100k queued events are canceled, the heap holds
+// exactly the survivors and every canceled node is back on the free list; the
+// survivors then all fire, in order.
 func TestCompactionAt100kPending(t *testing.T) {
 	const total = 100000
 	s := New()
@@ -154,19 +171,20 @@ func TestCompactionAt100kPending(t *testing.T) {
 		}
 		s.Cancel(e)
 	}
-	// Cancel compacts once corpses outnumber live events; after canceling
-	// 99% the queue must hold roughly the survivors, not 100k corpses.
-	if got := s.cal.len(); got > 2*kept {
-		t.Fatalf("compaction left %d stored events for %d live ones", got, kept)
-	}
 	if got := s.Pending(); got != kept {
 		t.Fatalf("Pending() = %d, want %d", got, kept)
+	}
+	if got := len(s.q); got != kept {
+		t.Fatalf("heap holds %d events for %d survivors", got, kept)
+	}
+	if got := len(s.free); got != total-kept {
+		t.Fatalf("free list holds %d nodes, want the %d canceled", got, total-kept)
 	}
 	s.Run()
 	if fired != kept {
 		t.Fatalf("fired %d events, want %d", fired, kept)
 	}
-	if got := s.cal.len(); got != 0 {
+	if got := len(s.q); got != 0 {
 		t.Fatalf("queue not empty after run: %d stored", got)
 	}
 }
