@@ -19,6 +19,7 @@ func BenchmarkTransferChurn(b *testing.B) {
 	}
 	c := cluster.New(s, cluster.Config{VolatileTraces: traces, DedicatedNodes: 6})
 	n := New(s, c, DefaultConfig())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := c.Node(i % 60)

@@ -22,7 +22,15 @@
 // the floating-point accumulation order of settled bytes — and therefore
 // every run byte-identical to the eager schedule. Reads (Consumed,
 // TotalBytes, ActiveFlows) and flow completion flush first, so observers
-// never see a half-settled instant.
+// never see a half-settled instant. The one change that cannot defer is an
+// endpoint carrying a due flow — one whose completion, scheduled at an
+// earlier instant, fires at this one — which the eager schedule would have
+// cascade-finished inside the very call; markDirty finds such flows by
+// scanning the node's own flow lists.
+//
+// Each rate change moves the flow's pending completion event in place
+// (sim.Reschedule: one heap sift, no allocation), consuming the same event
+// sequence number the cancel-and-schedule it replaces would have.
 //
 // A flow with an unavailable endpoint makes no progress; if the outage lasts
 // longer than the configured stall timeout the flow fails with ErrStalled,
@@ -87,10 +95,9 @@ type Flow struct {
 	stall      sim.Event
 	finished   bool
 
-	// completionAt/dueIdx locate the flow in the network's completion-time
-	// index while a completion event is scheduled; dueIdx is -1 otherwise.
+	// completionAt is the time of the completion event, meaningful while
+	// that event is pending.
 	completionAt float64
-	dueIdx       int
 }
 
 // Remaining returns the bytes not yet transferred (settled to the last rate
@@ -124,19 +131,6 @@ type Network struct {
 	dirty    []int
 	inDirty  []bool
 	flushing bool
-
-	// flowsAt indexes live flows by the exact time of their scheduled
-	// completion event. At each instant, flows whose completion falls
-	// exactly now ("due" flows) are the one case where a deferred settle
-	// is unsafe: the eager per-change recompute would discover them at
-	// zero remaining inside the very call that changed their endpoint and
-	// cascade-finish them mid-callback. dueCount[node] counts due flows
-	// per endpoint for the current instant (curInstant); dueTouched lists
-	// the nonzero entries for O(touched) reset at the next instant.
-	flowsAt    map[float64][]*Flow
-	dueCount   []int
-	dueTouched []int
-	curInstant float64
 
 	// listEpoch counts every mutation that can invalidate a precomputed
 	// fair-share rate: flow-list membership changes and mid-pass endpoint
@@ -186,12 +180,10 @@ func (n *Network) Instrument(c *metrics.Collector) {
 // the deferred settle pass runs before the clock leaves any instant.
 func New(s *sim.Simulation, c *cluster.Cluster, cfg Config) *Network {
 	n := &Network{
-		sim:      s,
-		cfg:      cfg,
-		nodes:    make([]*nodeState, len(c.Nodes)),
-		inDirty:  make([]bool, len(c.Nodes)),
-		flowsAt:  make(map[float64][]*Flow),
-		dueCount: make([]int, len(c.Nodes)),
+		sim:     s,
+		cfg:     cfg,
+		nodes:   make([]*nodeState, len(c.Nodes)),
+		inDirty: make([]bool, len(c.Nodes)),
 	}
 	for i := range n.nodes {
 		n.nodes[i] = &nodeState{}
@@ -267,7 +259,7 @@ func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(erro
 	if bytes < 0 {
 		panic(fmt.Sprintf("netmodel: negative transfer size %v", bytes))
 	}
-	f := &Flow{Src: src, Dst: dst, id: n.nextID, remaining: bytes, done: done, lastUpdate: n.sim.Now(), dueIdx: -1}
+	f := &Flow{Src: src, Dst: dst, id: n.nextID, remaining: bytes, done: done, lastUpdate: n.sim.Now()}
 	n.nextID++
 	n.mFlows.IncAt(f.lastUpdate)
 	if bytes == 0 {
@@ -364,71 +356,32 @@ func (n *Network) putScratch(b []*Flow) {
 	n.scratch = append(n.scratch, b)
 }
 
-// indexCompletion records the exact time of f's scheduled completion event.
-// The absolute time passed in must be computed as sim.Now()+delay with the
-// identical delay handed to sim.After, so map lookups by the current clock
-// hit the bucket bit-for-bit.
-func (n *Network) indexCompletion(f *Flow, at float64) {
-	b := n.flowsAt[at]
-	f.completionAt = at
-	f.dueIdx = len(b)
-	n.flowsAt[at] = append(b, f)
+// due reports whether f's completion event fires at this very instant and
+// was scheduled before the instant began. A completion is only ever
+// scheduled by refresh, right after settle set lastUpdate to the clock, so
+// lastUpdate < now means "scheduled at an earlier instant": the flow has
+// made progress since, and the eager per-change recompute would find it at
+// zero remaining. A flow rescheduled during this instant (a sub-ulp
+// completion that rounds to now) has made none, so it is not due.
+func (f *Flow) due(now float64) bool {
+	return f.completionAt == now && f.lastUpdate < now && f.completion.Pending()
 }
 
-// unindexCompletion removes f from the completion-time index (O(1)
-// swap-remove; bucket order is immaterial — only counts are derived from
-// it). If f was registered as due at the current instant its endpoint
-// counts are released too.
-func (n *Network) unindexCompletion(f *Flow) {
-	if f.dueIdx < 0 {
-		return
-	}
-	b := n.flowsAt[f.completionAt]
-	last := len(b) - 1
-	moved := b[last]
-	b[f.dueIdx] = moved
-	moved.dueIdx = f.dueIdx
-	b[last] = nil
-	if last == 0 {
-		delete(n.flowsAt, f.completionAt)
-	} else {
-		n.flowsAt[f.completionAt] = b[:last]
-	}
-	f.dueIdx = -1
-	if f.completionAt == n.curInstant && n.curInstant == n.sim.Now() {
-		n.dueCount[f.Src.ID]--
-		if !f.local() {
-			n.dueCount[f.Dst.ID]--
-		}
-	}
-}
-
-// syncInstant rebuilds the per-node due-flow counts when the clock has moved
-// since they were last built. Cost is O(flows completing at this exact
-// instant), almost always zero.
-func (n *Network) syncInstant() {
+// hasDue reports whether any flow touching the node is due (see due).
+func (n *Network) hasDue(nodeID int) bool {
 	now := n.sim.Now()
-	if now == n.curInstant {
-		return
-	}
-	for _, id := range n.dueTouched {
-		n.dueCount[id] = 0
-	}
-	n.dueTouched = n.dueTouched[:0]
-	n.curInstant = now
-	for _, f := range n.flowsAt[now] {
-		n.addDue(f.Src.ID)
-		if !f.local() {
-			n.addDue(f.Dst.ID)
+	st := n.nodes[nodeID]
+	for _, f := range st.remote {
+		if f.due(now) {
+			return true
 		}
 	}
-}
-
-func (n *Network) addDue(id int) {
-	if n.dueCount[id] == 0 {
-		n.dueTouched = append(n.dueTouched, id)
+	for _, f := range st.local {
+		if f.due(now) {
+			return true
+		}
 	}
-	n.dueCount[id]++
+	return false
 }
 
 // markDirty queues the node for the next settle pass. Marks keep their
@@ -436,18 +389,17 @@ func (n *Network) addDue(id int) {
 // have first touched each node — so the flush replays the identical
 // floating-point accumulation sequence.
 //
-// One case must not defer: a node carrying a flow whose completion event is
-// scheduled at this very instant. The eager recompute would have found that
-// flow at zero remaining inside this call and cascade-finished it before the
-// caller's next statement — canceling its pending event, delivering its done
-// callback, and freeing whatever the caller tracks through plain state (a
-// shuffle's in-flight slot, say) with no intervening read to trigger a
-// flush. For those nodes the pending marks drain first (keeping earlier
-// deferred work in accumulation order) and the node settles eagerly, exactly
-// as the per-change schedule would have.
+// One case must not defer: a node carrying a due flow, one whose completion
+// event fires at this very instant (see due). The eager recompute would
+// have found that flow at zero remaining inside this call and
+// cascade-finished it before the caller's next statement — canceling its
+// pending event, delivering its done callback, and freeing whatever the
+// caller tracks through plain state (a shuffle's in-flight slot, say) with
+// no intervening read to trigger a flush. For those nodes the pending marks
+// drain first (keeping earlier deferred work in accumulation order) and the
+// node settles eagerly, exactly as the per-change schedule would have.
 func (n *Network) markDirty(nodeID int) {
 	n.listEpoch++
-	n.syncInstant()
 	if n.settleDepth > 0 {
 		// Mid-pass change: the eager schedule ran its recompute right
 		// here, between the enclosing pass's refreshes. Settle inline at
@@ -457,7 +409,7 @@ func (n *Network) markDirty(nodeID int) {
 		n.settleNode(nodeID)
 		return
 	}
-	if n.dueCount[nodeID] > 0 {
+	if n.hasDue(nodeID) {
 		// See the comment above the function: a flow on this node
 		// completes at this very instant and must cascade-finish inside
 		// this call. Earlier deferred work drains first to keep its place
@@ -611,25 +563,26 @@ func (n *Network) settleNode(nodeID int) {
 // refresh settles one flow and reschedules its completion at rate. rate is
 // currentRate(f), computed by the caller or precomputed by the parallel
 // phase (the listEpoch guard keeps the two equal); everything else — the
-// settle, the cancel/reschedule and its (at, seq) consumption, the
-// completion indexing — is one path.
+// settle and the completion move with its (at, seq) consumption — is one
+// path. A flow that keeps moving has its pending completion re-keyed in
+// place; one that is done or stalled has it canceled.
 func (n *Network) refresh(f *Flow, rate float64) {
 	if f.finished {
 		return
 	}
 	n.settle(f)
 	f.rate = rate
-	n.sim.Cancel(f.completion)
-	f.completion = sim.Event{}
-	n.unindexCompletion(f)
-	if f.remaining <= 1e-6 {
-		n.finish(f, nil)
+	if f.remaining <= 1e-6 || rate <= 0 {
+		n.sim.Cancel(f.completion)
+		f.completion = sim.Event{}
+		if f.remaining <= 1e-6 {
+			n.finish(f, nil)
+		}
 		return
 	}
-	if f.rate > 0 {
-		d := f.remaining / f.rate
-		f.completion = n.sim.After(d, "net.complete", f.complete)
-		n.indexCompletion(f, n.sim.Now()+d)
+	f.completionAt = n.sim.Now() + f.remaining/rate
+	if !n.sim.Reschedule(f.completion, f.completionAt) {
+		f.completion = n.sim.Schedule(f.completionAt, "net.complete", f.complete)
 	}
 }
 
@@ -681,7 +634,6 @@ func (n *Network) finish(f *Flow, err error) {
 	n.sim.Cancel(f.completion)
 	n.sim.Cancel(f.stall)
 	f.completion, f.stall = sim.Event{}, sim.Event{}
-	n.unindexCompletion(f)
 	if f.local() {
 		removeFlow(&n.nodes[f.Src.ID].local, f)
 		n.settleNode(f.Src.ID)

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -272,4 +273,97 @@ func TestMidInstantReadsSeeSettledState(t *testing.T) {
 	if s.Now() != 20 {
 		t.Fatalf("simulation ended at %v, want 20", s.Now())
 	}
+}
+
+// TestDueFlowCascadesInsideTransfer pins the one endpoint change that must
+// not defer: a flow whose completion lands exactly at the instant of a
+// Transfer touching its endpoint finishes inside that Transfer call, and
+// its done callback runs before the caller's next statement — as the eager
+// per-change recompute would have found it at zero remaining.
+func TestDueFlowCascadesInsideTransfer(t *testing.T) {
+	s, c, n := testbed(nil, simpleCfg())
+	var order []string
+	// Scheduled before the flow exists, so the probe fires first at t=10,
+	// ahead of the flow's own completion event.
+	s.Schedule(10, "probe", func() {
+		order = append(order, "probe")
+		n.Transfer(c.Node(1), c.Node(3), 500, func(error) {})
+		order = append(order, "after Transfer")
+	})
+	var doneAt float64 = -1
+	// 1000 B at 100 B/s completes at exactly t=10.
+	n.Transfer(c.Node(1), c.Node(2), 1000, func(err error) {
+		if err != nil {
+			t.Errorf("due flow failed: %v", err)
+		}
+		doneAt = s.Now()
+		order = append(order, "due done")
+	})
+	s.Run()
+	if want := "[probe due done after Transfer]"; fmt.Sprint(order) != want {
+		t.Fatalf("order %v, want %s", order, want)
+	}
+	if doneAt != 10 {
+		t.Fatalf("due flow finished at %v, want 10", doneAt)
+	}
+}
+
+// TestSubUlpRescheduleIsNotDue: at t=1e6 a 1e-3 B flow's completion delay
+// (~8.5e-12 s) is below the clock's ulp, so its completion is rescheduled
+// to the current instant during the instant itself. It has made no
+// progress since, so it is not due: a later Transfer on its endpoint
+// defers as usual, and the flow completes at its own event.
+func TestSubUlpRescheduleIsNotDue(t *testing.T) {
+	s := sim.New()
+	c := cluster.New(s, cluster.Config{DedicatedNodes: 3})
+	n := New(s, c, DefaultConfig())
+	const at = 1e6
+	var tiny *Flow
+	tinyDone := false
+	var tinyAt float64
+	s.Schedule(at, "probe", func() {
+		tiny = n.Transfer(c.Node(0), c.Node(1), 1e-3, func(err error) {
+			if err != nil {
+				t.Errorf("sub-ulp flow failed: %v", err)
+			}
+			tinyDone, tinyAt = true, s.Now()
+		})
+		_ = n.TotalBytes() // settles: the completion lands on now
+		if !tiny.completion.Pending() || tiny.completionAt != s.Now() {
+			t.Fatalf("completion pending %v at %v, want pending at now %v",
+				tiny.completion.Pending(), tiny.completionAt, s.Now())
+		}
+		for id := 0; id < 3; id++ {
+			if n.hasDue(id) {
+				t.Errorf("node %d reports a due flow", id)
+			}
+		}
+		n.Transfer(c.Node(0), c.Node(2), 1, func(error) {})
+		if tinyDone {
+			t.Error("sub-ulp flow finished inside a Transfer on its endpoint")
+		}
+	})
+	s.Run()
+	if !tinyDone || tinyAt != at {
+		t.Fatalf("sub-ulp flow done %v at %v, want done at %v", tinyDone, tinyAt, at)
+	}
+}
+
+// TestPausedFlowIsNotDue: an outage cancels a flow's completion event, so
+// at the instant that event would have fired the flow is not due, though
+// its last scheduled completion time still reads as now.
+func TestPausedFlowIsNotDue(t *testing.T) {
+	// Node 0 down during [5, 20): the flow would have finished at t=10.
+	s, c, n := testbed([]trace.Interval{{Start: 5, End: 20}}, simpleCfg())
+	f := n.Transfer(c.Node(0), c.Node(1), 1000, func(error) {})
+	s.Schedule(10, "probe", func() {
+		if f.completionAt != s.Now() || f.completion.Pending() {
+			t.Fatalf("completion pending %v at %v, want canceled at %v",
+				f.completion.Pending(), f.completionAt, s.Now())
+		}
+		if n.hasDue(0) || n.hasDue(1) {
+			t.Error("paused flow reports due")
+		}
+	})
+	s.Run()
 }

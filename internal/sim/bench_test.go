@@ -60,9 +60,8 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkCancelHeavy interleaves cancellation with firing, the pattern of
-// flow reschedules (cancel completion, schedule a new one, occasionally
-// fire).
+// BenchmarkCancelHeavy interleaves cancellation with firing: each op
+// schedules two events, cancels one and fires the other.
 func BenchmarkCancelHeavy(b *testing.B) {
 	s := New()
 	fn := func() {}
@@ -74,6 +73,31 @@ func BenchmarkCancelHeavy(b *testing.B) {
 		s.Schedule(at+1, "keeper", fn)
 		s.Cancel(e)
 		s.Step()
+	}
+}
+
+// BenchmarkReschedule measures moving a pending event in place, the
+// netmodel's per-rate-change operation: one re-key and one sift from the
+// event's slot. Each op moves a different event of the standing population
+// to a scattered new time, so sifts go both ways. It allocates nothing.
+func BenchmarkReschedule(b *testing.B) {
+	for _, pending := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			s := New()
+			fn := func() {}
+			evs := make([]Event, pending)
+			for i := range evs {
+				evs[i] = s.Schedule(1e6+float64(i)*0.25, "e", fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := 1e6 + float64((i*7919)%(4*pending))*0.25
+				if !s.Reschedule(evs[i%pending], at) {
+					b.Fatal("pending event not rescheduled")
+				}
+			}
+		})
 	}
 }
 

@@ -42,10 +42,10 @@ func TestFreeListReuse(t *testing.T) {
 	}
 }
 
-// TestLazyCancelDrainCounts checks the Canceled counter, that Cancel
+// TestCancelCountsFreesAndSkips checks the Canceled counter, that Cancel
 // reclaims storage at once, and that Step and RunUntil then fire only the
 // survivors.
-func TestLazyCancelDrainCounts(t *testing.T) {
+func TestCancelCountsFreesAndSkips(t *testing.T) {
 	s := New()
 	var evs []Event
 	for i := 0; i < 10; i++ {
@@ -73,35 +73,6 @@ func TestLazyCancelDrainCounts(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("queue not drained: Pending=%d", s.Pending())
-	}
-}
-
-// TestCancelCompaction verifies mass cancellation does not leave the heap
-// full of corpses: Cancel removes each event at once.
-func TestCancelCompaction(t *testing.T) {
-	s := New()
-	var evs []Event
-	for i := 0; i < 1000; i++ {
-		evs = append(evs, s.Schedule(float64(i+1), "e", func() {}))
-	}
-	for _, e := range evs[:999] {
-		s.Cancel(e)
-	}
-	if len(s.q) != 1 {
-		t.Fatalf("heap holds %d slots for 1 live event", len(s.q))
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", s.Pending())
-	}
-	if len(s.free) != 999 {
-		t.Fatalf("free list holds %d nodes, want the 999 canceled", len(s.free))
-	}
-	fired := 0
-	for s.Step() {
-		fired++
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d events, want 1", fired)
 	}
 }
 

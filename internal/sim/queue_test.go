@@ -6,10 +6,12 @@ import (
 	"repro/internal/rng"
 )
 
-// refEvent is one event as the reference heap sees it.
+// refEvent is one event as the reference heap sees it. id names the
+// callback; a rescheduled event is a new refEvent with the same id.
 type refEvent struct {
 	at       Time
 	seq      uint64
+	id       uint64
 	canceled bool
 }
 
@@ -70,10 +72,12 @@ func (h *refHeap) pop() *refEvent {
 }
 
 // FuzzQueueMatchesReference drives the simulation and a shadow binary heap
-// with one randomized schedule/cancel/fire stream derived from the seed and
-// requires the identical fire order. Delays are quantized so many events
-// collide on the same instant (exercising the seq tie-break) with
-// occasional far-future outliers; cancels hit arbitrary heap slots.
+// with one randomized schedule/cancel/reschedule/fire stream derived from
+// the seed and requires the identical fire order. Delays are quantized so
+// many events collide on the same instant (exercising the seq tie-break)
+// with occasional far-future outliers; cancels and reschedules hit
+// arbitrary heap slots. The reference models a reschedule as a cancel plus
+// a push with a fresh seq.
 func FuzzQueueMatchesReference(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		f.Add(seed)
@@ -89,27 +93,50 @@ func FuzzQueueMatchesReference(f *testing.F) {
 		}
 		var live []pair
 		var fired []uint64
-		nextID := uint64(0)
+		nextID, nextSeq := uint64(0), uint64(0)
+		delay := func() float64 {
+			switch r.Intn(10) {
+			case 0:
+				return 0 // same instant
+			case 1:
+				return r.Float64() * 1e7 // far future
+			default:
+				return float64(r.Intn(64)) * 0.25 // dense collisions
+			}
+		}
 
 		for op := 0; op < 20000; op++ {
 			switch k := r.Float64(); {
-			case k < 0.55 || len(live) == 0:
-				var d float64
-				switch r.Intn(10) {
-				case 0:
-					d = 0 // same instant
-				case 1:
-					d = r.Float64() * 1e7 // far future
-				default:
-					d = float64(r.Intn(64)) * 0.25 // dense collisions
-				}
+			case k < 0.5 || len(live) == 0:
+				d := delay()
 				id := nextID
 				nextID++
 				ev := s.After(d, "diff", func() { fired = append(fired, id) })
-				ref := &refEvent{at: s.Now() + d, seq: id}
+				ref := &refEvent{at: s.Now() + d, seq: nextSeq, id: id}
+				nextSeq++
 				h.push(ref)
 				live = append(live, pair{ev, ref})
-			case k < 0.75:
+			case k < 0.65:
+				i := r.Intn(len(live))
+				p := live[i]
+				at := s.Now() + delay()
+				if !p.ev.Pending() {
+					if s.Reschedule(p.ev, at) {
+						t.Fatalf("seed %d: Reschedule of a fired event reported true", seed)
+					}
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					continue
+				}
+				if !s.Reschedule(p.ev, at) {
+					t.Fatalf("seed %d: Reschedule of a pending event reported false", seed)
+				}
+				p.ref.canceled = true
+				ref := &refEvent{at: at, seq: nextSeq, id: p.ref.id}
+				nextSeq++
+				h.push(ref)
+				live[i].ref = ref
+			case k < 0.8:
 				i := r.Intn(len(live))
 				p := live[i]
 				if p.ev.Pending() {
@@ -128,7 +155,7 @@ func FuzzQueueMatchesReference(f *testing.F) {
 		var want []uint64
 		for h.len() > 0 {
 			if e := h.pop(); !e.canceled {
-				want = append(want, e.seq)
+				want = append(want, e.id)
 			}
 		}
 		if len(fired) != len(want) {
@@ -143,12 +170,29 @@ func FuzzQueueMatchesReference(f *testing.F) {
 	})
 }
 
-// TestCompactionAt100kPending checks that mass cancellation leaves no corpses
-// at scale: right after 99% of 100k queued events are canceled, the heap holds
-// exactly the survivors and every canceled node is back on the free list; the
-// survivors then all fire, in order.
+// TestCancelCompaction checks that canceling all but the last of 1k queued
+// events leaves no corpses; the survivor is drained by Step.
+func TestCancelCompaction(t *testing.T) {
+	checkMassCancelLeavesOnlySurvivors(t, 1000,
+		func(i int) Time { return float64(i + 1) },
+		func(i int) bool { return i == 999 }, true)
+}
+
+// TestCompactionAt100kPending checks that canceling 99% of 100k queued events
+// leaves no corpses at scale; the survivors are drained by Run.
 func TestCompactionAt100kPending(t *testing.T) {
-	const total = 100000
+	checkMassCancelLeavesOnlySurvivors(t, 100000,
+		func(i int) Time { return float64(i%9973) + 1 },
+		func(i int) bool { return i%100 == 0 }, false)
+}
+
+// checkMassCancelLeavesOnlySurvivors schedules total events at at(i), cancels
+// every one keep(i) rejects, and checks that mass cancellation leaves no
+// corpses: right after the cancels the heap holds exactly the survivors and
+// every canceled node is back on the free list; the survivors then all fire,
+// in order, drained by Step when step is set and by Run otherwise.
+func checkMassCancelLeavesOnlySurvivors(t *testing.T, total int, at func(i int) Time, keep func(i int) bool, step bool) {
+	t.Helper()
 	s := New()
 	var fired int
 	lastAt := -1.0
@@ -161,11 +205,11 @@ func TestCompactionAt100kPending(t *testing.T) {
 	}
 	evs := make([]Event, 0, total)
 	for i := 0; i < total; i++ {
-		evs = append(evs, s.Schedule(float64(i%9973)+1, "e", fn))
+		evs = append(evs, s.Schedule(at(i), "e", fn))
 	}
 	kept := 0
 	for i, e := range evs {
-		if i%100 == 0 {
+		if keep(i) {
 			kept++
 			continue
 		}
@@ -180,7 +224,17 @@ func TestCompactionAt100kPending(t *testing.T) {
 	if got := len(s.free); got != total-kept {
 		t.Fatalf("free list holds %d nodes, want the %d canceled", got, total-kept)
 	}
-	s.Run()
+	if step {
+		steps := 0
+		for s.Step() {
+			steps++
+		}
+		if steps != kept {
+			t.Fatalf("Step fired %d events, want %d", steps, kept)
+		}
+	} else {
+		s.Run()
+	}
 	if fired != kept {
 		t.Fatalf("fired %d events, want %d", fired, kept)
 	}

@@ -9,10 +9,11 @@
 // The event queue is an indexed 4-ary min-heap over (at, seq). Heap slots
 // hold the sort key by value, so sifts compare keys without dereferencing
 // event storage, and every queued event records its slot, so Cancel removes
-// the event in O(log n) and recycles its storage at once. Cancel is the
-// dominant queue operation — flow-completion events are canceled and
-// rescheduled on every rate change — so real removal keeps the heap exactly
-// as large as the set of live events.
+// the event in O(log n) and recycles its storage at once, and Reschedule
+// moves it to a new time with one sift from that slot. Reschedule is the
+// dominant queue operation — every netmodel rate change moves a
+// flow-completion event — and real removal keeps the heap exactly as large
+// as the set of live events.
 //
 // The queue is also allocation-free at steady state: event storage is pooled
 // in a per-Simulation free list and recycled as soon as an event fires or is
@@ -172,7 +173,9 @@ type Simulation struct {
 	fired uint64
 	// canceled counts events killed via Cancel before they could fire.
 	canceled uint64
-	stopped  bool
+	// rescheduled counts events moved in place via Reschedule.
+	rescheduled uint64
+	stopped     bool
 
 	// barriers run when the simulation is about to leave the current
 	// instant (see Barrier).
@@ -184,15 +187,16 @@ type Simulation struct {
 
 	// Instrument handles (nil without a collector; nil handles no-op, so
 	// the hot path stays allocation-free when metrics are off).
-	mFired      *metrics.Counter
-	mCanceled   *metrics.Counter
-	mQueueDepth *metrics.Series
+	mFired       *metrics.Counter
+	mCanceled    *metrics.Counter
+	mRescheduled *metrics.Counter
+	mQueueDepth  *metrics.Series
 }
 
-// Instrument registers the event core's instruments on c: event throughput
-// and cancellations as time-bucketed counters, and a sampled queue-depth
-// series. A nil collector (or never calling Instrument) leaves the
-// simulation exactly as before — the pinned microbenchmarks stay at
+// Instrument registers the event core's instruments on c: event throughput,
+// cancellations and reschedules as time-bucketed counters, and a sampled
+// queue-depth series. A nil collector (or never calling Instrument) leaves
+// the simulation exactly as before — the pinned microbenchmarks stay at
 // 0 allocs/op.
 func (s *Simulation) Instrument(c *metrics.Collector) {
 	if c == nil {
@@ -200,6 +204,7 @@ func (s *Simulation) Instrument(c *metrics.Collector) {
 	}
 	s.mFired = c.TimedCounter(metrics.LayerSim, "events_fired", "")
 	s.mCanceled = c.TimedCounter(metrics.LayerSim, "events_canceled", "")
+	s.mRescheduled = c.TimedCounter(metrics.LayerSim, "events_rescheduled", "")
 	s.mQueueDepth = c.SampleSeries(metrics.LayerSim, "queue_depth", "")
 }
 
@@ -216,6 +221,9 @@ func (s *Simulation) Fired() uint64 { return s.fired }
 
 // Canceled returns the number of events canceled before firing.
 func (s *Simulation) Canceled() uint64 { return s.canceled }
+
+// Rescheduled returns the number of events moved via Reschedule.
+func (s *Simulation) Rescheduled() uint64 { return s.rescheduled }
 
 // Pending returns the number of events currently queued to fire.
 func (s *Simulation) Pending() int { return len(s.q) }
@@ -273,6 +281,36 @@ func (s *Simulation) Cancel(e Event) {
 	s.retire(s.q.remove(e.n.idx))
 	s.canceled++
 	s.mCanceled.IncAt(s.now)
+}
+
+// Reschedule moves a pending event to absolute time at and reports true.
+// The event is re-keyed in place to (at, next seq) — the same seq a Cancel
+// followed by Schedule would consume, so the pop order is identical — and
+// sifted from its heap slot; the handle stays valid and nothing is
+// allocated or retired. It is not a cancel: Canceled() is unchanged. A
+// zero, stale, fired or canceled handle reports false and changes nothing.
+// Rescheduling into the past panics, as Schedule does.
+func (s *Simulation) Reschedule(e Event, at Time) bool {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, s.now))
+	}
+	if !e.live() || e.n.idx < 0 {
+		return false
+	}
+	i := e.n.idx
+	// The new seq exceeds every queued one, so the key moves toward the
+	// root only if the time moves earlier.
+	earlier := at < s.q[i].at
+	s.q[i].at, s.q[i].seq = at, s.nextSeq
+	s.nextSeq++
+	if earlier {
+		s.q.up(i)
+	} else {
+		s.q.down(i)
+	}
+	s.rescheduled++
+	s.mRescheduled.IncAt(s.now)
+	return true
 }
 
 // Stop makes Run return after the currently executing event completes.

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/metrics"
 )
 
 func TestEventsFireInTimeOrder(t *testing.T) {
@@ -221,6 +224,116 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
+func TestRescheduleMovesPendingEvent(t *testing.T) {
+	s := New()
+	var got []string
+	late := s.Schedule(5, "late", func() { got = append(got, "late") })
+	s.Schedule(3, "mid", func() { got = append(got, "mid") })
+	early := s.Schedule(1, "early", func() { got = append(got, "early") })
+	if !s.Reschedule(late, 2) || !s.Reschedule(early, 4) {
+		t.Fatal("Reschedule of a pending event reported false")
+	}
+	if !late.Pending() || !early.Pending() || late.Canceled() {
+		t.Fatal("handle not pending after Reschedule")
+	}
+	if s.Pending() != 3 || s.Rescheduled() != 2 || s.Canceled() != 0 {
+		t.Fatalf("Pending=%d Rescheduled=%d Canceled=%d, want 3/2/0",
+			s.Pending(), s.Rescheduled(), s.Canceled())
+	}
+	s.Run()
+	if want := []string{"late", "mid", "early"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fire order %v, want %v", got, want)
+	}
+	if s.Now() != 4 {
+		t.Fatalf("clock = %v, want 4", s.Now())
+	}
+}
+
+func TestRescheduleDeadHandles(t *testing.T) {
+	s := New()
+	fired := s.Schedule(1, "fired", func() {})
+	canceled := s.Schedule(2, "canceled", func() {})
+	s.Cancel(canceled)
+	s.Run()
+	// fired's storage is recycled into fresh, so the fired handle is also
+	// stale: it must not move the event that now owns its node.
+	freshAt := -1.0
+	fresh := s.Schedule(3, "fresh", func() { freshAt = s.Now() })
+	for _, c := range []struct {
+		name string
+		e    Event
+	}{{"zero", Event{}}, {"fired", fired}, {"canceled", canceled}} {
+		if s.Reschedule(c.e, 10) {
+			t.Errorf("Reschedule of a %s handle reported true", c.name)
+		}
+	}
+	if !fresh.Pending() {
+		t.Fatal("a dead handle disturbed a live event")
+	}
+	var self Event
+	selfOK := true
+	self = s.Schedule(4, "self", func() { selfOK = s.Reschedule(self, 20) })
+	s.Run()
+	if selfOK {
+		t.Error("Reschedule of the executing event reported true")
+	}
+	if freshAt != 3 || s.Now() != 4 {
+		t.Fatalf("fresh fired at %v, clock %v; want 3 and 4", freshAt, s.Now())
+	}
+	if s.Rescheduled() != 0 || s.Canceled() != 1 {
+		t.Fatalf("Rescheduled=%d Canceled=%d, want 0/1", s.Rescheduled(), s.Canceled())
+	}
+}
+
+func TestReschedulePastPanics(t *testing.T) {
+	s := New()
+	e := s.Schedule(20, "pending", func() {})
+	s.Schedule(10, "later", func() {})
+	s.RunUntil(10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rescheduling into the past did not panic")
+		}
+	}()
+	s.Reschedule(e, 5)
+}
+
+// TestRescheduleTieOrderMatchesCancelSchedule: a moved event takes a fresh
+// seq, so among events at its new instant it fires exactly where a
+// Cancel+Schedule at the same point would have put it.
+func TestRescheduleTieOrderMatchesCancelSchedule(t *testing.T) {
+	run := func(move func(s *Simulation, e Event, fn func()) Event) []int {
+		s := New()
+		var got []int
+		evs := make([]Event, 6)
+		for i := range evs {
+			i := i
+			evs[i] = s.Schedule(float64(1+i%3), "e", func() { got = append(got, i) })
+		}
+		// Move events onto instants already holding events scheduled
+		// before and after them.
+		evs[0] = move(s, evs[0], func() { got = append(got, 0) })
+		s.Schedule(2, "tail", func() { got = append(got, 100) })
+		evs[5] = move(s, evs[5], func() { got = append(got, 5) })
+		evs[1] = move(s, evs[1], func() { got = append(got, 1) })
+		s.Run()
+		return got
+	}
+	viaReschedule := run(func(s *Simulation, e Event, _ func()) Event {
+		if !s.Reschedule(e, 2) {
+			t.Fatal("Reschedule reported false")
+		}
+		return e
+	})
+	viaCancel := run(func(s *Simulation, e Event, fn func()) Event {
+		s.Cancel(e)
+		return s.Schedule(2, "e", fn)
+	})
+	if fmt.Sprint(viaReschedule) != fmt.Sprint(viaCancel) {
+		t.Fatalf("Reschedule order %v, Cancel+Schedule order %v", viaReschedule, viaCancel)
+	}
+}
+
 // Property: for any set of event times, execution order is a sorted
 // permutation of the input.
 func TestQuickOrdering(t *testing.T) {
@@ -238,5 +351,24 @@ func TestQuickOrdering(t *testing.T) {
 		return sort.Float64sAreSorted(got)
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInstrumentCountsReschedules: with a collector attached, each
+// reschedule lands in sim/events_rescheduled and none in events_canceled.
+func TestInstrumentCountsReschedules(t *testing.T) {
+	s := New()
+	c := metrics.New(100)
+	s.Instrument(c)
+	e := s.Schedule(10, "e", func() {})
+	s.Reschedule(e, 20)
+	s.Reschedule(e, 5)
+	s.Run()
+	got := map[string]float64{}
+	for _, p := range c.Snapshot().Counters {
+		got[p.Layer+"/"+p.Name] = p.Value
+	}
+	if got["sim/events_rescheduled"] != 2 || got["sim/events_canceled"] != 0 || got["sim/events_fired"] != 1 {
+		t.Fatalf("counters %v, want 2 rescheduled, 0 canceled, 1 fired", got)
 	}
 }
