@@ -504,3 +504,30 @@ func TestSchedConfigValidate(t *testing.T) {
 		t.Fatal("zero slots accepted")
 	}
 }
+
+// TestUnfetchedSkipsFetchedMaps marks maps fetched in a scrambled order and
+// checks after every mark that unfetched(m), which compresses the skip
+// chain as it walks it, still finds the first unfetched map at or after
+// every m, and len(state) past the last.
+func TestUnfetchedSkipsFetchedMaps(t *testing.T) {
+	const n = 50
+	sh := &shuffleState{skip: make([]int32, n+1)}
+	for m := range sh.skip {
+		sh.skip[m] = int32(m)
+	}
+	fetched := make([]bool, n)
+	for k := 0; k < n; k++ {
+		m := (k * 17) % n // 17 is coprime to n: every map once
+		fetched[m] = true
+		sh.skip[m] = int32(m + 1) // as fetchDone marks it
+		for from := 0; from <= n; from++ {
+			want := from
+			for want < n && fetched[want] {
+				want++
+			}
+			if got := sh.unfetched(from); got != want {
+				t.Fatalf("after %d marks: unfetched(%d) = %d, want %d", k+1, from, got, want)
+			}
+		}
+	}
+}

@@ -30,6 +30,12 @@ type shuffleState struct {
 	failCount []int   // per map: failures observed by THIS attempt (MOON rule)
 	flows     []*netmodel.Flow
 
+	// skip[m] is m while map m is unfetched and a later index once it is
+	// fetched; skip[len(state)] ends the chain. fetchDone is terminal within
+	// an attempt, so pump can follow the chain past fetched maps instead of
+	// rescanning them (see unfetched).
+	skip []int32
+
 	fetched  int
 	inflight int
 	retryEv  sim.Event
@@ -38,6 +44,10 @@ type shuffleState struct {
 
 func newShuffle(jt *JobTracker, in *Instance) *shuffleState {
 	n := in.task.job.cfg.NumMaps
+	skip := make([]int32, n+1)
+	for m := range skip {
+		skip[m] = int32(m)
+	}
 	return &shuffleState{
 		in:        in,
 		jt:        jt,
@@ -46,7 +56,18 @@ func newShuffle(jt *JobTracker, in *Instance) *shuffleState {
 		failedSrc: make([][]int, n),
 		failCount: make([]int, n),
 		flows:     make([]*netmodel.Flow, n),
+		skip:      skip,
 	}
+}
+
+// unfetched returns the first map at or after m that is not fetched, or
+// len(state) if none is, halving the skip path it follows.
+func (sh *shuffleState) unfetched(m int) int {
+	for int(sh.skip[m]) != m {
+		sh.skip[m] = sh.skip[sh.skip[m]]
+		m = int(sh.skip[m])
+	}
+	return m
 }
 
 // partitionBytes is the share of one map output this reducer copies.
@@ -67,9 +88,9 @@ func (sh *shuffleState) pump() {
 	}
 	now := sh.jt.sim.Now()
 	job := sh.in.task.job
-	for m := 0; m < len(sh.state) && sh.inflight < sh.jt.cfg.ParallelCopies; m++ {
+	for m := sh.unfetched(0); m < len(sh.state) && sh.inflight < sh.jt.cfg.ParallelCopies; m = sh.unfetched(m + 1) {
 		st := sh.state[m]
-		if st == fetchDone || st == fetchInflight {
+		if st == fetchInflight {
 			continue
 		}
 		if st == fetchBackoff {
@@ -130,6 +151,7 @@ func (sh *shuffleState) fetchDone(m, src int, fetchedFrom string, err error) {
 	// fully copied partition is valid (it is the same map output).
 	_ = fetchedFrom
 	sh.state[m] = fetchDone
+	sh.skip[m] = int32(m + 1)
 	sh.fetched++
 	sh.pump()
 }

@@ -29,8 +29,16 @@
 // scanning the node's own flow lists.
 //
 // Each rate change moves the flow's pending completion event in place
-// (sim.Reschedule: one heap sift, no allocation), consuming the same event
-// sequence number the cancel-and-schedule it replaces would have.
+// (sim.Reschedule: no allocation, and no sift when the completion moves
+// later), consuming the same event sequence number the cancel-and-schedule
+// it replaces would have.
+//
+// Per-node flow lists and the settle snapshots hold int32 slots into the
+// Network's flow slab rather than *Flow, so copying and clearing them runs
+// no GC write barriers. A slot freed while a settle pass is on the stack is
+// held until the outermost pass returns: an outer snapshot may still name
+// it, and reusing it at once would refresh a new flow in the finished
+// flow's place.
 //
 // A flow with an unavailable endpoint makes no progress; if the outage lasts
 // longer than the configured stall timeout the flow fails with ErrStalled,
@@ -94,6 +102,7 @@ type Flow struct {
 	completion sim.Event
 	stall      sim.Event
 	finished   bool
+	slot       int32 // index in Network.flows while on the flow lists
 
 	// completionAt is the time of the completion event, meaningful while
 	// that event is pending.
@@ -104,10 +113,10 @@ type Flow struct {
 // change, not the current instant).
 func (f *Flow) Remaining() float64 { return f.remaining }
 
-// nodeState tracks the flows touching one node.
+// nodeState tracks the flows touching one node, as slots of Network.flows.
 type nodeState struct {
-	remote []*Flow
-	local  []*Flow
+	remote []int32
+	local  []int32
 	// consumed accumulates bytes moved through this node (both
 	// directions), for bandwidth measurement.
 	consumed float64
@@ -120,10 +129,17 @@ type Network struct {
 	nodes  []*nodeState
 	nextID uint64
 
-	// scratch is a stack of reusable flow buffers for settle iteration
+	// flows is the slab the flow lists index. A finished flow's slot goes
+	// to held while a settle pass is on the stack, and to free (its entry
+	// set to nil) once none is.
+	flows []*Flow
+	free  []int32
+	held  []int32
+
+	// scratch is a stack of reusable slot buffers for settle iteration
 	// (refresh can re-enter the settle pass via finish, so one buffer is
 	// not enough; a stack keeps nesting safe without per-event allocation).
-	scratch [][]*Flow
+	scratch [][]int32
 
 	// dirty queues nodes whose flow sets or availability changed this
 	// instant, in first-marked order; inDirty dedups membership. flush
@@ -269,12 +285,13 @@ func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(erro
 	}
 	f.complete = func() { n.finish(f, nil) }
 	n.listEpoch++
+	n.addSlot(f)
 	if f.local() {
-		n.nodes[src.ID].local = append(n.nodes[src.ID].local, f)
+		n.nodes[src.ID].local = append(n.nodes[src.ID].local, f.slot)
 		n.markDirty(src.ID)
 	} else {
-		n.nodes[src.ID].remote = append(n.nodes[src.ID].remote, f)
-		n.nodes[dst.ID].remote = append(n.nodes[dst.ID].remote, f)
+		n.nodes[src.ID].remote = append(n.nodes[src.ID].remote, f.slot)
+		n.nodes[dst.ID].remote = append(n.nodes[dst.ID].remote, f.slot)
 		n.markDirty(src.ID)
 		n.markDirty(dst.ID)
 	}
@@ -338,22 +355,58 @@ func (n *Network) currentRate(f *Flow) float64 {
 	return dstShare
 }
 
-// takeScratch pops a reusable flow buffer (snapshotting a node's flow lists
-// before iteration, since refresh/finish mutate them).
-func (n *Network) takeScratch() []*Flow {
-	if k := len(n.scratch); k > 0 {
-		b := n.scratch[k-1]
-		n.scratch = n.scratch[:k-1]
-		return b[:0]
+// addSlot gives f a slot of the flow slab, reusing a free one if any.
+func (n *Network) addSlot(f *Flow) {
+	if k := len(n.free); k > 0 {
+		f.slot = n.free[k-1]
+		n.free = n.free[:k-1]
+		n.flows[f.slot] = f
+		return
 	}
-	return nil
+	f.slot = int32(len(n.flows))
+	n.flows = append(n.flows, f)
 }
 
-func (n *Network) putScratch(b []*Flow) {
-	for i := range b {
-		b[i] = nil
+// freeSlot gives back the slot of a flow just taken off the flow lists. A
+// settle pass on the stack may still hold the slot in its snapshot, so it is
+// held until the outermost pass returns (see endSettle).
+func (n *Network) freeSlot(slot int32) {
+	if n.settleDepth > 0 {
+		n.held = append(n.held, slot)
+		return
 	}
-	n.scratch = append(n.scratch, b)
+	n.flows[slot] = nil
+	n.free = append(n.free, slot)
+}
+
+// beginSettle enters a settle pass over one node: it snapshots the node's
+// flow slots, remote then local, into a reusable buffer, since refresh and
+// finish mutate the lists during the walk.
+func (n *Network) beginSettle(st *nodeState) []int32 {
+	var buf []int32
+	if k := len(n.scratch); k > 0 {
+		buf = n.scratch[k-1][:0]
+		n.scratch = n.scratch[:k-1]
+	}
+	buf = append(buf, st.remote...)
+	buf = append(buf, st.local...)
+	n.settleDepth++
+	return buf
+}
+
+// endSettle leaves the pass beginSettle entered. When the outermost pass
+// returns, no snapshot names a held slot any more, so the held slots go
+// free.
+func (n *Network) endSettle(buf []int32) {
+	n.scratch = append(n.scratch, buf)
+	n.settleDepth--
+	if n.settleDepth > 0 {
+		return
+	}
+	for _, slot := range n.held {
+		n.freeSlot(slot)
+	}
+	n.held = n.held[:0]
 }
 
 // due reports whether f's completion event fires at this very instant and
@@ -371,13 +424,13 @@ func (f *Flow) due(now float64) bool {
 func (n *Network) hasDue(nodeID int) bool {
 	now := n.sim.Now()
 	st := n.nodes[nodeID]
-	for _, f := range st.remote {
-		if f.due(now) {
+	for _, slot := range st.remote {
+		if n.flows[slot].due(now) {
 			return true
 		}
 	}
-	for _, f := range st.local {
-		if f.due(now) {
+	for _, slot := range st.local {
+		if n.flows[slot].due(now) {
 			return true
 		}
 	}
@@ -497,12 +550,12 @@ func (n *Network) maybeShardSettle() {
 		for k := lo; k < hi; k++ {
 			st := n.nodes[ids[k]]
 			idx := off[k]
-			for _, f := range st.remote {
-				rates[idx] = n.currentRate(f)
+			for _, slot := range st.remote {
+				rates[idx] = n.currentRate(n.flows[slot])
 				idx++
 			}
-			for _, f := range st.local {
-				rates[idx] = n.currentRate(f)
+			for _, slot := range st.local {
+				rates[idx] = n.currentRate(n.flows[slot])
 				idx++
 			}
 		}
@@ -527,12 +580,9 @@ func (n *Network) settleNodeRated(nodeID int, rates []float64, epoch uint64) {
 		n.settleNode(nodeID)
 		return
 	}
-	st := n.nodes[nodeID]
-	buf := n.takeScratch()
-	buf = append(buf, st.remote...)
-	buf = append(buf, st.local...)
-	n.settleDepth++
-	for j, f := range buf {
+	buf := n.beginSettle(n.nodes[nodeID])
+	for j, slot := range buf {
+		f := n.flows[slot]
 		if n.listEpoch == epoch {
 			n.refresh(f, rates[j])
 		} else {
@@ -542,22 +592,17 @@ func (n *Network) settleNodeRated(nodeID int, rates []float64, epoch uint64) {
 			n.refresh(f, n.currentRate(f))
 		}
 	}
-	n.settleDepth--
-	n.putScratch(buf)
+	n.endSettle(buf)
 }
 
 // settleNode resettles and reschedules every flow touching the node.
 func (n *Network) settleNode(nodeID int) {
-	st := n.nodes[nodeID]
-	buf := n.takeScratch()
-	buf = append(buf, st.remote...)
-	buf = append(buf, st.local...)
-	n.settleDepth++
-	for _, f := range buf {
+	buf := n.beginSettle(n.nodes[nodeID])
+	for _, slot := range buf {
+		f := n.flows[slot]
 		n.refresh(f, n.currentRate(f))
 	}
-	n.settleDepth--
-	n.putScratch(buf)
+	n.endSettle(buf)
 }
 
 // refresh settles one flow and reschedules its completion at rate. rate is
@@ -635,12 +680,14 @@ func (n *Network) finish(f *Flow, err error) {
 	n.sim.Cancel(f.stall)
 	f.completion, f.stall = sim.Event{}, sim.Event{}
 	if f.local() {
-		removeFlow(&n.nodes[f.Src.ID].local, f)
-		n.settleNode(f.Src.ID)
+		removeSlot(&n.nodes[f.Src.ID].local, f.slot)
 	} else {
-		removeFlow(&n.nodes[f.Src.ID].remote, f)
-		removeFlow(&n.nodes[f.Dst.ID].remote, f)
-		n.settleNode(f.Src.ID)
+		removeSlot(&n.nodes[f.Src.ID].remote, f.slot)
+		removeSlot(&n.nodes[f.Dst.ID].remote, f.slot)
+	}
+	n.freeSlot(f.slot)
+	n.settleNode(f.Src.ID)
+	if !f.local() {
 		n.settleNode(f.Dst.ID)
 	}
 	if f.done != nil {
@@ -655,17 +702,17 @@ func (n *Network) finish(f *Flow, err error) {
 func (n *Network) nodeChanged(node *cluster.Node) {
 	n.markDirty(node.ID)
 	st := n.nodes[node.ID]
-	for _, f := range st.remote {
-		n.checkStall(f)
+	for _, slot := range st.remote {
+		n.checkStall(n.flows[slot])
 	}
-	for _, f := range st.local {
-		n.checkStall(f)
+	for _, slot := range st.local {
+		n.checkStall(n.flows[slot])
 	}
 }
 
-func removeFlow(s *[]*Flow, f *Flow) {
+func removeSlot(s *[]int32, slot int32) {
 	for i, x := range *s {
-		if x == f {
+		if x == slot {
 			*s = append((*s)[:i], (*s)[i+1:]...)
 			return
 		}

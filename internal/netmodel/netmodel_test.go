@@ -367,3 +367,49 @@ func TestPausedFlowIsNotDue(t *testing.T) {
 	})
 	s.Run()
 }
+
+// TestTransferFromCascadeDoesNotReuseLiveSnapshotSlot: three flows out of
+// node 0 tie at t=3, so the first completion cascade-finishes the other two
+// inside the settle pass of node 0, and their done callbacks start new
+// transfers. The slots the cascade frees are still in that pass's snapshot
+// of node 0; were they reused at once, the pass would refresh a new flow in
+// a finished one's place, spending an extra event seq on it and reordering
+// the two new flows that tie at t=4.
+func TestTransferFromCascadeDoesNotReuseLiveSnapshotSlot(t *testing.T) {
+	s := sim.New()
+	c := cluster.New(s, cluster.Config{DedicatedNodes: 7})
+	// 120 B/s NICs: three flows share node 0 at 40 B/s, and every time
+	// below is exact in floating point.
+	n := New(s, c, Config{NodeBandwidth: 120, DiskBandwidth: 120, StallTimeout: 60})
+	var got []string
+	done := func(name string, then func()) func(error) {
+		return func(err error) {
+			if err != nil {
+				t.Errorf("%s failed: %v", name, err)
+			}
+			got = append(got, fmt.Sprintf("%s@%v", name, s.Now()))
+			if then != nil {
+				then()
+			}
+		}
+	}
+	n.Transfer(c.Node(0), c.Node(1), 120, done("a", nil))
+	n.Transfer(c.Node(0), c.Node(2), 120, done("b", func() {
+		// An unrelated 120 B flow at 120 B/s: due at t=4, after e.
+		n.Transfer(c.Node(5), c.Node(6), 120, done("f", nil))
+	}))
+	n.Transfer(c.Node(0), c.Node(3), 120, done("c", func() {
+		// Node 0 is free again: 120 B at 120 B/s, due at t=4.
+		n.Transfer(c.Node(0), c.Node(4), 120, done("e", nil))
+	}))
+	s.Run()
+	// a's completion fires first; it finishes b, whose settle of node 0
+	// finishes c, so done callbacks unwind innermost first.
+	if want := "[c@3 b@3 a@3 e@4 f@4]"; fmt.Sprint(got) != want {
+		t.Fatalf("done order %v, want %s", got, want)
+	}
+	if n.TotalBytes() != 600 || n.Consumed(0) != 480 || n.Consumed(4) != 120 || n.Consumed(6) != 120 {
+		t.Fatalf("TotalBytes %v, consumed node0/4/6 %v/%v/%v; want 600, 480/120/120",
+			n.TotalBytes(), n.Consumed(0), n.Consumed(4), n.Consumed(6))
+	}
+}

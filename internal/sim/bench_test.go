@@ -77,9 +77,13 @@ func BenchmarkCancelHeavy(b *testing.B) {
 }
 
 // BenchmarkReschedule measures moving a pending event in place, the
-// netmodel's per-rate-change operation: one re-key and one sift from the
-// event's slot. Each op moves a different event of the standing population
-// to a scattered new time, so sifts go both ways. It allocates nothing.
+// netmodel's per-rate-change operation. In the pending=N cases each op moves
+// a different event of the standing population to a scattered new time, so
+// moves go both ways: an earlier one re-keys the slot and sifts it up. The
+// postpone case moves every event later, netmodel's dominant direction,
+// which updates the event's node alone; the sift it defers is paid only if
+// the event reaches the head, which no event does here. It allocates
+// nothing.
 func BenchmarkReschedule(b *testing.B) {
 	for _, pending := range []int{1000, 100000} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
@@ -99,6 +103,26 @@ func BenchmarkReschedule(b *testing.B) {
 			}
 		})
 	}
+	b.Run("postpone", func(b *testing.B) {
+		const pending = 100000
+		s := New()
+		fn := func() {}
+		evs := make([]Event, pending)
+		ats := make([]Time, pending)
+		for i := range evs {
+			ats[i] = 1e6 + float64(i)*0.25
+			evs[i] = s.Schedule(ats[i], "e", fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % pending
+			ats[k] += float64((i*7919)%64) * 0.25
+			if !s.Reschedule(evs[k], ats[k]) {
+				b.Fatal("pending event not rescheduled")
+			}
+		}
+	})
 }
 
 // BenchmarkShardPhase measures the parallel-phase hot path per ITEM: one

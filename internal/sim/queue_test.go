@@ -71,13 +71,28 @@ func (h *refHeap) pop() *refEvent {
 	}
 }
 
+// peek discards canceled entries at the top and returns the earliest live
+// event, or nil.
+func (h *refHeap) peek() *refEvent {
+	for h.len() > 0 {
+		if e := h.es[0]; !e.canceled {
+			return e
+		}
+		h.pop()
+	}
+	return nil
+}
+
 // FuzzQueueMatchesReference drives the simulation and a shadow binary heap
-// with one randomized schedule/cancel/reschedule/fire stream derived from
-// the seed and requires the identical fire order. Delays are quantized so
-// many events collide on the same instant (exercising the seq tie-break)
-// with occasional far-future outliers; cancels and reschedules hit
-// arbitrary heap slots. The reference models a reschedule as a cancel plus
-// a push with a fresh seq.
+// with one randomized schedule/reschedule/postpone/cancel/step/run-until
+// stream derived from the seed and requires the identical fire order, with
+// the reference popped in lockstep after every Step and RunUntil. Delays are
+// quantized so many events collide on the same instant (exercising the seq
+// tie-break) with occasional far-future outliers; cancels and reschedules
+// hit arbitrary heap slots, and postpones (reschedules to a time no earlier
+// than the event's own) leave stale slot keys for the head fix and the
+// RunUntil deadline check to meet. The reference models a reschedule as a
+// cancel plus a push with a fresh seq.
 func FuzzQueueMatchesReference(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		f.Add(seed)
@@ -92,7 +107,8 @@ func FuzzQueueMatchesReference(f *testing.F) {
 			ref *refEvent
 		}
 		var live []pair
-		var fired []uint64
+		var fired, want []uint64
+		pending, checked := 0, 0
 		nextID, nextSeq := uint64(0), uint64(0)
 		delay := func() float64 {
 			switch r.Intn(10) {
@@ -104,10 +120,56 @@ func FuzzQueueMatchesReference(f *testing.F) {
 				return float64(r.Intn(64)) * 0.25 // dense collisions
 			}
 		}
+		// popRef moves the reference's next event to want.
+		popRef := func() {
+			e := h.peek()
+			h.pop()
+			want = append(want, e.id)
+			pending--
+		}
+		// check compares the events fired since the last check with the
+		// reference's.
+		check := func(op int) {
+			if len(fired) != len(want) {
+				t.Fatalf("seed %d op %d: fired %d events, heap reference expects %d",
+					seed, op, len(fired), len(want))
+			}
+			for i := checked; i < len(want); i++ {
+				if fired[i] != want[i] {
+					t.Fatalf("seed %d op %d: fire order diverges at %d: queue popped %d, heap reference %d",
+						seed, op, i, fired[i], want[i])
+				}
+			}
+			checked = len(want)
+			if s.Pending() != pending {
+				t.Fatalf("seed %d op %d: Pending() = %d, reference holds %d", seed, op, s.Pending(), pending)
+			}
+		}
+		// move reschedules live[i] to at, or drops it from live if it
+		// already fired.
+		move := func(i int, at Time) {
+			p := live[i]
+			if !p.ev.Pending() {
+				if s.Reschedule(p.ev, at) {
+					t.Fatalf("seed %d: Reschedule of a fired event reported true", seed)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				return
+			}
+			if !s.Reschedule(p.ev, at) {
+				t.Fatalf("seed %d: Reschedule of a pending event reported false", seed)
+			}
+			p.ref.canceled = true
+			ref := &refEvent{at: at, seq: nextSeq, id: p.ref.id}
+			nextSeq++
+			h.push(ref)
+			live[i].ref = ref
+		}
 
 		for op := 0; op < 20000; op++ {
 			switch k := r.Float64(); {
-			case k < 0.5 || len(live) == 0:
+			case k < 0.45 || len(live) == 0:
 				d := delay()
 				id := nextID
 				nextID++
@@ -115,57 +177,49 @@ func FuzzQueueMatchesReference(f *testing.F) {
 				ref := &refEvent{at: s.Now() + d, seq: nextSeq, id: id}
 				nextSeq++
 				h.push(ref)
+				pending++
 				live = append(live, pair{ev, ref})
-			case k < 0.65:
+			case k < 0.55:
+				move(r.Intn(len(live)), s.Now()+delay())
+			case k < 0.70:
 				i := r.Intn(len(live))
-				p := live[i]
-				at := s.Now() + delay()
-				if !p.ev.Pending() {
-					if s.Reschedule(p.ev, at) {
-						t.Fatalf("seed %d: Reschedule of a fired event reported true", seed)
-					}
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
-					continue
-				}
-				if !s.Reschedule(p.ev, at) {
-					t.Fatalf("seed %d: Reschedule of a pending event reported false", seed)
-				}
-				p.ref.canceled = true
-				ref := &refEvent{at: at, seq: nextSeq, id: p.ref.id}
-				nextSeq++
-				h.push(ref)
-				live[i].ref = ref
-			case k < 0.8:
+				// A fired event's time is in the past; it still gets a
+				// legal time so Reschedule can report it dead.
+				move(i, max(live[i].ref.at, s.Now())+delay())
+			case k < 0.80:
 				i := r.Intn(len(live))
 				p := live[i]
 				if p.ev.Pending() {
 					s.Cancel(p.ev)
 					p.ref.canceled = true
+					pending--
 				}
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
+			case k < 0.95:
+				if s.Step() {
+					popRef()
+				}
+				check(op)
 			default:
-				s.Step()
+				deadline := s.Now() + delay()
+				s.RunUntil(deadline)
+				for e := h.peek(); e != nil && e.at <= deadline; e = h.peek() {
+					popRef()
+				}
+				if pending > 0 && s.Now() != deadline {
+					t.Fatalf("seed %d op %d: RunUntil(%v) left the clock at %v with events pending",
+						seed, op, deadline, s.Now())
+				}
+				check(op)
 			}
 		}
 		for s.Step() {
+			popRef()
 		}
-
-		var want []uint64
-		for h.len() > 0 {
-			if e := h.pop(); !e.canceled {
-				want = append(want, e.id)
-			}
-		}
-		if len(fired) != len(want) {
-			t.Fatalf("seed %d: fired %d events, heap reference expects %d", seed, len(fired), len(want))
-		}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Fatalf("seed %d: fire order diverges at %d: queue popped %d, heap reference %d",
-					seed, i, fired[i], want[i])
-			}
+		check(-1)
+		if h.peek() != nil {
+			t.Fatalf("seed %d: queue drained, heap reference still holds events", seed)
 		}
 	})
 }

@@ -9,11 +9,18 @@
 // The event queue is an indexed 4-ary min-heap over (at, seq). Heap slots
 // hold the sort key by value, so sifts compare keys without dereferencing
 // event storage, and every queued event records its slot, so Cancel removes
-// the event in O(log n) and recycles its storage at once, and Reschedule
-// moves it to a new time with one sift from that slot. Reschedule is the
-// dominant queue operation — every netmodel rate change moves a
-// flow-completion event — and real removal keeps the heap exactly as large
-// as the set of live events.
+// the event in O(log n) and recycles its storage at once. Real removal keeps
+// the heap exactly as large as the set of live events.
+//
+// Reschedule is the dominant queue operation — every netmodel rate change
+// moves a flow-completion event, mostly to a later time — so it is lazy in
+// that direction. Each event keeps its true key on its node; a slot's key is
+// only a lower bound of it. Moving an event later updates the node alone and
+// leaves the slot's smaller key in place, which keeps the heap valid. Moving
+// it earlier re-keys the slot and sifts it up. Before the head is fired or
+// compared with a deadline, fixHead re-keys a stale head and sifts it down
+// until the head holds its true key, which is then the true minimum: the pop
+// order stays exactly (at, seq).
 //
 // The queue is also allocation-free at steady state: event storage is pooled
 // in a per-Simulation free list and recycled as soon as an event fires or is
@@ -36,16 +43,20 @@ const Forever Time = math.MaxFloat64
 
 // node is the pooled storage behind one scheduled callback. After the event
 // fires or is canceled, gen is bumped and the node returns to the free list,
-// invalidating every outstanding handle to it.
+// invalidating every outstanding handle to it. It holds no event name: the
+// true key below would otherwise move every node up a size class.
 type node struct {
-	fn   func()
-	name string
-	gen  uint64
-	idx  int // heap slot while queued, -1 otherwise
+	fn  func()
+	gen uint64
+	idx int // heap slot while queued, -1 otherwise
+	// at and seq are the event's true key. The slot's key may be smaller
+	// (see Reschedule); it is never larger.
+	at  Time
+	seq uint64
 }
 
-// entry is one heap slot: the event's sort key stored by value next to its
-// node.
+// entry is one heap slot: a lower bound of its event's key, stored by value
+// next to the node, equal to the true key unless the event was postponed.
 type entry struct {
 	at  Time
 	seq uint64
@@ -256,8 +267,8 @@ func (s *Simulation) Schedule(at Time, name string, fn func()) Event {
 	}
 	n := s.alloc()
 	n.fn = fn
-	n.name = name
-	s.q.push(entry{at: at, seq: s.nextSeq, n: n})
+	n.at, n.seq = at, s.nextSeq
+	s.q.push(entry{at: at, seq: n.seq, n: n})
 	s.nextSeq++
 	return Event{n: n, gen: n.gen}
 }
@@ -285,28 +296,27 @@ func (s *Simulation) Cancel(e Event) {
 
 // Reschedule moves a pending event to absolute time at and reports true.
 // The event is re-keyed in place to (at, next seq) — the same seq a Cancel
-// followed by Schedule would consume, so the pop order is identical — and
-// sifted from its heap slot; the handle stays valid and nothing is
-// allocated or retired. It is not a cancel: Canceled() is unchanged. A
-// zero, stale, fired or canceled handle reports false and changes nothing.
-// Rescheduling into the past panics, as Schedule does.
+// followed by Schedule would consume, so the pop order is identical; the
+// handle stays valid and nothing is allocated or retired. It is not a
+// cancel: Canceled() is unchanged. A zero, stale, fired or canceled handle
+// reports false and changes nothing. Rescheduling into the past panics, as
+// Schedule does.
 func (s *Simulation) Reschedule(e Event, at Time) bool {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, s.now))
 	}
-	if !e.live() || e.n.idx < 0 {
+	n := e.n
+	if !e.live() || n.idx < 0 {
 		return false
 	}
-	i := e.n.idx
-	// The new seq exceeds every queued one, so the key moves toward the
-	// root only if the time moves earlier.
-	earlier := at < s.q[i].at
-	s.q[i].at, s.q[i].seq = at, s.nextSeq
+	n.at, n.seq = at, s.nextSeq
 	s.nextSeq++
-	if earlier {
+	// The new seq exceeds every queued one, so the key only falls below the
+	// slot's if the time moves earlier. Otherwise the slot's key stays a
+	// lower bound and the move waits for fixHead.
+	if i := n.idx; at < s.q[i].at {
+		s.q[i].at, s.q[i].seq = at, n.seq
 		s.q.up(i)
-	} else {
-		s.q.down(i)
 	}
 	s.rescheduled++
 	s.mRescheduled.IncAt(s.now)
@@ -351,12 +361,23 @@ func (s *Simulation) settleBarriers() {
 	}
 }
 
-// fire pops the queue head and executes it.
+// fixHead re-keys and sifts down a postponed head until the head slot
+// holds its event's true key. Every other slot's key is a lower bound of its
+// event's, so that head is the true minimum. The queue must be non-empty.
+func (s *Simulation) fixHead() {
+	for h := &s.q[0]; h.seq != h.n.seq; {
+		h.at, h.seq = h.n.at, h.n.seq
+		s.q.down(0)
+	}
+}
+
+// fire pops the queue head, which fixHead has given its true key, and
+// executes it.
 func (s *Simulation) fire() {
 	at := s.q[0].at
 	n := s.q.remove(0)
 	if at < s.now {
-		panic(fmt.Sprintf("sim: time went backwards: %v -> %v (%s)", s.now, at, n.name))
+		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", s.now, at))
 	}
 	s.now = at
 	s.fired++
@@ -375,6 +396,7 @@ func (s *Simulation) Step() bool {
 	if len(s.q) == 0 {
 		return false
 	}
+	s.fixHead()
 	s.fire()
 	return true
 }
@@ -390,6 +412,7 @@ func (s *Simulation) RunUntil(deadline Time) {
 		if len(s.q) == 0 {
 			return
 		}
+		s.fixHead()
 		if s.q[0].at > deadline {
 			s.now = deadline
 			return

@@ -336,6 +336,84 @@ func TestRescheduleTieOrderMatchesCancelSchedule(t *testing.T) {
 
 // Property: for any set of event times, execution order is a sorted
 // permutation of the input.
+// TestPostponedHeadRespectsDeadline checks that RunUntil compares the
+// deadline with the head's true time, not the stale key its slot keeps
+// after a postpone.
+func TestPostponedHeadRespectsDeadline(t *testing.T) {
+	s := New()
+	var firedAt []Time
+	e := s.Schedule(10, "e", func() { firedAt = append(firedAt, s.Now()) })
+	if !s.Reschedule(e, 30) {
+		t.Fatal("Reschedule of a pending event reported false")
+	}
+	s.RunUntil(20)
+	if len(firedAt) != 0 || s.Now() != 20 || s.Pending() != 1 {
+		t.Fatalf("after RunUntil(20): fired at %v, Now=%v, Pending=%d; want none, 20, 1",
+			firedAt, s.Now(), s.Pending())
+	}
+	s.Run()
+	if fmt.Sprint(firedAt) != "[30]" {
+		t.Fatalf("fired at %v, want [30]", firedAt)
+	}
+}
+
+// TestCancelPostponedEvent cancels events whose slots still hold the stale
+// key of a postpone, at the head and below it.
+func TestCancelPostponedEvent(t *testing.T) {
+	s := New()
+	var got []string
+	ev := func(name string) func() { return func() { got = append(got, name) } }
+	head := s.Schedule(1, "head", ev("head"))
+	s.Schedule(2, "b", ev("b"))
+	mid := s.Schedule(3, "mid", ev("mid"))
+	s.Schedule(4, "d", ev("d"))
+	if !s.Reschedule(head, 5) || !s.Reschedule(mid, 6) {
+		t.Fatal("Reschedule of a pending event reported false")
+	}
+	s.Cancel(head)
+	s.Cancel(mid)
+	if head.Pending() || mid.Pending() || s.Pending() != 2 || s.Canceled() != 2 {
+		t.Fatalf("after cancel: Pending=%d Canceled=%d, want 2/2", s.Pending(), s.Canceled())
+	}
+	if s.Reschedule(head, 7) {
+		t.Fatal("Reschedule of a canceled event reported true")
+	}
+	s.Run()
+	if fmt.Sprint(got) != "[b d]" || s.Now() != 4 {
+		t.Fatalf("fired %v ending at %v, want [b d] ending at 4", got, s.Now())
+	}
+}
+
+// TestRescheduleEarlierAfterPostpone postpones an event to 10 and then moves
+// it earlier: below its slot's stale key, from below the head (the slot must
+// be re-keyed and sifted up), and between the stale key and the true key,
+// from the head (the slot's key must not rise above its children's).
+func TestRescheduleEarlierAfterPostpone(t *testing.T) {
+	for _, tc := range []struct {
+		from, to Time
+		want     string
+	}{
+		{from: 5, to: 2, want: "[a@2 b@3 c@4]"},
+		{from: 1, to: 7, want: "[b@3 c@4 a@7]"},
+	} {
+		s := New()
+		var got []string
+		ev := func(name string) func() {
+			return func() { got = append(got, fmt.Sprintf("%s@%v", name, s.Now())) }
+		}
+		s.Schedule(3, "b", ev("b"))
+		a := s.Schedule(tc.from, "a", ev("a"))
+		s.Schedule(4, "c", ev("c"))
+		if !s.Reschedule(a, 10) || !s.Reschedule(a, tc.to) {
+			t.Fatal("Reschedule of a pending event reported false")
+		}
+		s.Run()
+		if fmt.Sprint(got) != tc.want {
+			t.Fatalf("move from %v to %v: fired %v, want %v", tc.from, tc.to, got, tc.want)
+		}
+	}
+}
+
 func TestQuickOrdering(t *testing.T) {
 	if err := quick.Check(func(times []uint16) bool {
 		s := New()
